@@ -23,35 +23,36 @@ object DBA {
     val kMax = if (m == 0) 2 else math.max(2, trn.max)
     val spans = Array.tabulate(m)(e => Array.fill(math.max(0, trn(e) - 2))(-1))
     val dMax = ts.deltaMax
+    val (start, order) = ts.byMts()
+    val (e1s, e2s, e3s, _) = ts.columns
 
     var k = 3
     while (k <= kMax) {
       // T_{k,δmax} = static k-truss; triangles alive iff fully inside it
       val alive = Array.tabulate(m)(e => trn(e) >= k)
-      val triAlive = new Array[Boolean](ts.size)
+      val liveTri = new Array[Boolean](ts.size)
       val sup = new Array[Int](m)
       var i = 0
       while (i < ts.size) {
-        val t = ts.tris(i)
-        if (alive(t.e1) && alive(t.e2) && alive(t.e3)) {
-          triAlive(i) = true
-          sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
+        val a = e1s(i); val b = e2s(i); val c = e3s(i)
+        if (alive(a) && alive(b) && alive(c)) {
+          liveTri(i) = true
+          sup(a) += 1; sup(b) += 1; sup(c) += 1
         }
         i += 1
       }
       val queue = scala.collection.mutable.ArrayDeque.empty[Int]
       var delta = dMax
       while (delta >= 1) {
-        val bucket = ts.byMts(delta)
-        var bi = 0
-        while (bi < bucket.length) {
-          val tid = bucket(bi)
-          if (triAlive(tid)) {
-            triAlive(tid) = false
-            val t = ts.tris(tid)
-            sup(t.e1) -= 1; if (alive(t.e1) && sup(t.e1) < k - 2) queue += t.e1
-            sup(t.e2) -= 1; if (alive(t.e2) && sup(t.e2) < k - 2) queue += t.e2
-            sup(t.e3) -= 1; if (alive(t.e3) && sup(t.e3) < k - 2) queue += t.e3
+        var bi = start(delta)
+        while (bi < start(delta + 1)) {
+          val tid = order(bi)
+          if (liveTri(tid)) {
+            liveTri(tid) = false
+            val a = e1s(tid); val b = e2s(tid); val c = e3s(tid)
+            sup(a) -= 1; if (alive(a) && sup(a) < k - 2) queue += a
+            sup(b) -= 1; if (alive(b) && sup(b) < k - 2) queue += b
+            sup(c) -= 1; if (alive(c) && sup(c) < k - 2) queue += c
           }
           bi += 1
         }
@@ -60,13 +61,13 @@ object DBA {
           if (alive(e) && sup(e) < k - 2) {
             alive(e) = false
             spans(e)(k - 3) = delta // H-IES between T_{k,δ} and T_{k,δ−1}
-            val incident = ts.byEdge(e)
+            val incident = ts.incident(e)
             var ti = 0
-            while (ti < incident.length) {
+            while (ti < ts.degree(e)) {
               val tid = incident(ti)
-              if (triAlive(tid)) {
-                triAlive(tid) = false
-                val (f1, f2) = ts.tris(tid).others(e)
+              if (liveTri(tid)) {
+                liveTri(tid) = false
+                val (f1, f2) = ts.othersOf(tid, e)
                 sup(f1) -= 1; if (alive(f1) && sup(f1) < k - 2) queue += f1
                 sup(f2) -= 1; if (alive(f2) && sup(f2) < k - 2) queue += f2
               }

@@ -21,8 +21,8 @@ import repro.truss.TrussDecomposition
   * containing `e` inside `e`'s own trn-truss, always ≥ trn(e)−2): only
   * edges at the triangle's level are touched, and trussness drops propagate
   * by a BFS over same-level triangles. The inner loops are written
-  * allocation-free (flat int arrays, manual stack) — they dominate the
-  * construction time on high-kmax graphs.
+  * allocation-free (the store's int columns, manual stack) — they dominate
+  * the construction time on high-kmax graphs.
   */
 object MBA {
 
@@ -36,19 +36,13 @@ object MBA {
     val nTri = ts.size
     val valid = new Array[Boolean](nTri)
     java.util.Arrays.fill(valid, true)
-
-    // flat copies of the triangle edge ids for allocation-free access
-    val tE1 = new Array[Int](nTri); val tE2 = new Array[Int](nTri); val tE3 = new Array[Int](nTri)
-    var i = 0
-    while (i < nTri) {
-      val t = ts.tris(i); tE1(i) = t.e1; tE2(i) = t.e2; tE3(i) = t.e3; i += 1
-    }
+    val (e1s, e2s, e3s, _) = ts.columns
 
     // ks(e) = number of valid triangles containing e at level trn(e)
     val ks = new Array[Int](m)
-    i = 0
+    var i = 0
     while (i < nTri) {
-      val a = tE1(i); val b = tE2(i); val c = tE3(i)
+      val a = e1s(i); val b = e2s(i); val c = e3s(i)
       var lvl = trn(a)
       if (trn(b) < lvl) lvl = trn(b)
       if (trn(c) < lvl) lvl = trn(c)
@@ -68,7 +62,7 @@ object MBA {
 
     def invalidate(tid: Int, delta: Int): Unit = {
       valid(tid) = false
-      val a = tE1(tid); val b = tE2(tid); val c = tE3(tid)
+      val a = e1s(tid); val b = e2s(tid); val c = e3s(tid)
       var lvl = trn(a)
       if (trn(b) < lvl) lvl = trn(b)
       if (trn(c) < lvl) lvl = trn(c)
@@ -82,14 +76,15 @@ object MBA {
           val oldK = trn(e)
           trn(e) = oldK - 1
           spans(e)(oldK - 3) = delta // k-span for k = oldK (Lemma 4)
-          val incident = ts.byEdge(e)
+          val incident = ts.incident(e)
+          val nInc = ts.degree(e)
           var cnt = 0 // ks(e) recount at the new level, fused into the scan
           var ti = 0
-          while (ti < incident.length) {
+          while (ti < nInc) {
             val tid2 = incident(ti)
             if (valid(tid2)) {
-              var f1 = tE1(tid2); var f2 = tE2(tid2)
-              val f3 = tE3(tid2)
+              var f1 = e1s(tid2); var f2 = e2s(tid2)
+              val f3 = e3s(tid2)
               // companions of e in tid2
               if (f1 == e) { f1 = f3 } else if (f2 == e) { f2 = f3 }
               val mino = if (trn(f1) < trn(f2)) trn(f1) else trn(f2)
@@ -108,11 +103,11 @@ object MBA {
       }
     }
 
+    val (start, order) = ts.byMts()
     var delta = dMax
     while (delta >= 1) {
-      val bucket = ts.byMts(delta)
-      var bi = 0
-      while (bi < bucket.length) { invalidate(bucket(bi), delta); bi += 1 }
+      var bi = start(delta)
+      while (bi < start(delta + 1)) { invalidate(order(bi), delta); bi += 1 }
       delta -= 1
     }
 

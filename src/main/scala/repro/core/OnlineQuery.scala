@@ -18,14 +18,14 @@ object OnlineQuery {
     val m = ts.m
     if (k <= 2) return Array.range(0, m)
 
-    val triAlive = new Array[Boolean](ts.size)
+    val liveTri = new Array[Boolean](ts.size)
     val sup = new Array[Int](m)
+    val (e1s, e2s, e3s, mtss) = ts.columns
     var i = 0
     while (i < ts.size) {
-      val t = ts.tris(i)
-      if (t.mts <= delta) {
-        triAlive(i) = true
-        sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
+      if (mtss(i) <= delta) {
+        liveTri(i) = true
+        sup(e1s(i)) += 1; sup(e2s(i)) += 1; sup(e3s(i)) += 1
       }
       i += 1
     }
@@ -37,13 +37,13 @@ object OnlineQuery {
       val cur = queue.removeHead()
       if (alive(cur)) {
         alive(cur) = false
-        val incident = ts.byEdge(cur)
+        val incident = ts.incident(cur)
         var ti = 0
-        while (ti < incident.length) {
+        while (ti < ts.degree(cur)) {
           val tid = incident(ti)
-          if (triAlive(tid)) {
-            triAlive(tid) = false
-            val (f1, f2) = ts.tris(tid).others(cur)
+          if (liveTri(tid)) {
+            liveTri(tid) = false
+            val (f1, f2) = ts.othersOf(tid, cur)
             sup(f1) -= 1; if (alive(f1) && sup(f1) < k - 2) queue += f1
             sup(f2) -= 1; if (alive(f2) && sup(f2) < k - 2) queue += f2
           }

@@ -3,7 +3,7 @@ package repro.core.maintenance
 import scala.collection.mutable
 import repro.core.KSpanTable
 import repro.tgraph.{TEdge, TemporalGraph}
-import repro.triangles.{Mts, Tri, TriangleAccess, TriangleSet}
+import repro.triangles.{IntColumn, Mts, TriangleSet}
 
 /** Mutable companion of a temporal graph plus its complete (k,δ)-truss
   * answer state — everything §VI's filter-and-verification algorithm reads
@@ -14,28 +14,16 @@ import repro.triangles.{Mts, Tri, TriangleAccess, TriangleSet}
   * timestamps are only inserted).
   */
 final class DynamicState private (
-    val eU: mutable.ArrayBuffer[Int],
-    val eV: mutable.ArrayBuffer[Int],
+    val eU: IntColumn,
+    val eV: IntColumn,
     val eTs: mutable.ArrayBuffer[Array[Int]],
     val adjOf: mutable.ArrayBuffer[mutable.HashMap[Int, Int]], // vertex -> (nbr -> eid)
-    val triA: mutable.ArrayBuffer[Int],
-    val triB: mutable.ArrayBuffer[Int],
-    val triC: mutable.ArrayBuffer[Int],
-    val triMts: mutable.ArrayBuffer[Int],
-    val triByEdge: mutable.ArrayBuffer[mutable.ArrayBuffer[Int]],
-    val trn: mutable.ArrayBuffer[Int],
+    val tris: TriangleSet,
+    val trn: IntColumn,
     val kspan: mutable.ArrayBuffer[Array[Int]],
-) extends TriangleAccess {
+) {
 
   def m: Int = eU.length
-  def numTris: Int = triA.length
-
-  override def trianglesOf(e: Int): scala.collection.IndexedSeq[Int] = triByEdge(e)
-
-  override def othersOf(tid: Int, e: Int): (Int, Int) = {
-    val a = triA(tid); val b = triB(tid); val c = triC(tid)
-    if (e == a) (b, c) else if (e == b) (a, c) else (a, b)
-  }
 
   def edgeId(u: Int, v: Int): Int = {
     val (a, b) = if (u < v) (u, v) else (v, u)
@@ -56,10 +44,9 @@ final class DynamicState private (
   def addEdge(u: Int, v: Int, t: Int): (Int, Seq[Int]) = {
     require(u < v && edgeId(u, v) < 0)
     ensureVertex(v)
-    val eid = m
+    val eid = tris.addEdge()
     eU += u; eV += v; eTs += Array(t)
     adjOf(u)(v) = eid; adjOf(v)(u) = eid
-    triByEdge += mutable.ArrayBuffer.empty[Int]
     trn += 2
     kspan += Array.emptyIntArray
     val newTris = mutable.ArrayBuffer.empty[Int]
@@ -68,14 +55,9 @@ final class DynamicState private (
     for ((w, eSmall) <- adjOf(small) if w != u && w != v) {
       adjOf(large).get(w) match {
         case Some(eLarge) =>
-          val ids = Array(eid, eSmall, eLarge).sorted
-          val tid = numTris
-          triA += ids(0); triB += ids(1); triC += ids(2)
-          val mtsNew = Mts.of(eTs(ids(0)), eTs(ids(1)), eTs(ids(2)))
-          triMts += mtsNew
+          val mtsNew = Mts.of(eTs(eid), eTs(eSmall), eTs(eLarge))
+          newTris += tris.add(eid, eSmall, eLarge, mtsNew)
           bumpDeltaUB(mtsNew)
-          triByEdge(ids(0)) += tid; triByEdge(ids(1)) += tid; triByEdge(ids(2)) += tid
-          newTris += tid
         case None =>
       }
     }
@@ -97,12 +79,12 @@ final class DynamicState private (
     System.arraycopy(ts, ins, nts, ins + 1, ts.length - ins)
     eTs(e) = nts
     val changed = mutable.ArrayBuffer.empty[(Int, Int, Int)]
-    for (tid <- triByEdge(e)) {
-      val old = triMts(tid)
-      val nu = Mts.of(eTs(triA(tid)), eTs(triB(tid)), eTs(triC(tid)))
+    for (tid <- tris.trianglesOf(e)) {
+      val old = tris.mts(tid)
+      val nu = Mts.of(eTs(tris.e1(tid)), eTs(tris.e2(tid)), eTs(tris.e3(tid)))
       if (nu != old) {
         assert(nu < old, s"mts may only shrink on timestamp insertion ($old -> $nu)")
-        triMts(tid) = nu
+        tris.setMts(tid, nu)
         changed += ((tid, old, nu))
       }
     }
@@ -127,10 +109,9 @@ final class DynamicState private (
   def snapshotGraph: TemporalGraph =
     new TemporalGraph(Array.tabulate(m)(e => TEdge(eU(e), eV(e), eTs(e))))
 
-  def snapshotTriangles: TriangleSet =
-    new TriangleSet(Array.tabulate(numTris)(i => Tri(triA(i), triB(i), triC(i), triMts(i))), m)
+  def snapshotTriangles: TriangleSet = tris.copy()
 
-  def deltaMax: Int = if (numTris == 0) 0 else triMts.max
+  def deltaMax: Int = tris.deltaMax
 
   def snapshotTable: KSpanTable =
     new KSpanTable(trn.toArray, kspan.map(_.clone()).toArray, deltaMax)
@@ -138,7 +119,7 @@ final class DynamicState private (
   /** Monotone upper bound on deltaMax (mts only shrinks; new triangles may
     * raise it) — lets [[tableView]] avoid the O(|Δ|) max scan per call.
     */
-  private var deltaMaxUB: Int = if (triMts.isEmpty) 0 else triMts.max
+  private var deltaMaxUB: Int = tris.deltaMax
 
   private[maintenance] def bumpDeltaUB(mts: Int): Unit =
     if (mts > deltaMaxUB) deltaMaxUB = mts
@@ -153,21 +134,21 @@ final class DynamicState private (
 
 object DynamicState {
 
-  /** Seed the state from an already-indexed graph. */
+  /** Seed the state from an already-indexed graph. The state works on its
+    * own copies: later insertions leave `g`, `ts` and `table` as they were.
+    */
   def fromGraph(g: TemporalGraph, ts: TriangleSet, table: KSpanTable): DynamicState = {
+    require(ts.m == g.m && table.m == g.m,
+      s"triangles over ${ts.m} edges and a table over ${table.m} edges do not fit a graph of ${g.m}")
     val adj = mutable.ArrayBuffer.fill(math.max(1, g.nVertexIds))(mutable.HashMap.empty[Int, Int])
     for (e <- 0 until g.m) { adj(g.edges(e).u)(g.edges(e).v) = e; adj(g.edges(e).v)(g.edges(e).u) = e }
     new DynamicState(
-      mutable.ArrayBuffer.from(g.edges.map(_.u)),
-      mutable.ArrayBuffer.from(g.edges.map(_.v)),
+      IntColumn.from(g.edges.map(_.u)),
+      IntColumn.from(g.edges.map(_.v)),
       mutable.ArrayBuffer.from(g.edges.map(_.ts.clone())),
       adj,
-      mutable.ArrayBuffer.from(ts.tris.map(_.e1)),
-      mutable.ArrayBuffer.from(ts.tris.map(_.e2)),
-      mutable.ArrayBuffer.from(ts.tris.map(_.e3)),
-      mutable.ArrayBuffer.from(ts.tris.map(_.mts)),
-      mutable.ArrayBuffer.tabulate(g.m)(e => mutable.ArrayBuffer.from(ts.byEdge(e))),
-      mutable.ArrayBuffer.from(table.trn),
+      ts.copy(),
+      IntColumn.from(table.trn),
       mutable.ArrayBuffer.from(table.spans.map(_.clone())),
     )
   }

@@ -63,10 +63,7 @@ object IndexMaintenance {
       val (e0, newTris) = st.addEdge(u, v, t)
 
       // --- static trussness maintenance (filter of k) --------------------
-      val trnArr = st.trn.toArray
-      val upgraded = TrussInsert.maintain(st, trnArr, e0)
-      var i = 0
-      while (i < trnArr.length) { st.trn(i) = trnArr(i); i += 1 }
+      val upgraded = TrussInsert.maintain(st.tris, st.trn, e0)
       val kHigh = st.trn(e0)
 
       // entrantsAt(k) = edges whose trussness rose from k−1 to k
@@ -94,7 +91,7 @@ object IndexMaintenance {
       // k-world), plus pre-existing triangles that enter the k-world of an
       // upgraded edge's new level; all treated as mts ∞ → mts
       val cand = mutable.HashSet.empty[Int] ++ newTris
-      for ((_, es) <- entrantsAt; e <- es; tid <- st.trianglesOf(e)) cand += tid
+      for ((_, es) <- entrantsAt; e <- es; tid <- st.tris.trianglesOf(e)) cand += tid
       val (ks, region, spans, levels) =
         maintainSpans(st, kHigh = kHigh, candidateTris = cand.toSet,
           oldMtsOf = Map.empty.withDefaultValue(Int.MaxValue),
@@ -117,11 +114,11 @@ object IndexMaintenance {
   private def jointUpperBound(st: DynamicState, k: Int, newish: Set[Int]): Int = {
     var bound = 0
     var found = false
-    for (e <- newish if st.trn(e) >= k; tid <- st.trianglesOf(e)) {
-      val (a, b) = st.othersOf(tid, e)
+    for (e <- newish if st.trn(e) >= k; tid <- st.tris.trianglesOf(e)) {
+      val (a, b) = st.tris.othersOf(tid, e)
       if (st.trn(a) >= k && st.trn(b) >= k) {
         found = true
-        if (st.triMts(tid) > bound) bound = st.triMts(tid)
+        if (st.tris.mts(tid) > bound) bound = st.tris.mts(tid)
         for (f <- Seq(a, b)) {
           if (!newish.contains(f) && st.kspan(f).length >= k - 2 && st.span(f, k) > bound)
             bound = st.span(f, k)
@@ -156,7 +153,7 @@ object IndexMaintenance {
       var dMinus = Int.MaxValue
       val kept = mutable.ArrayBuffer.empty[Int]
       for (tid <- candidateTris) {
-        val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+        val a = st.tris.e1(tid); val b = st.tris.e2(tid); val c = st.tris.e3(tid)
         if (st.trn(a) >= k && st.trn(b) >= k && st.trn(c) >= k) {
           val newEntryTri = // triangle entering this k-world just now
             oldMtsOf(tid) == Int.MaxValue &&
@@ -165,7 +162,7 @@ object IndexMaintenance {
           val relevant = newEntryTri || oldMtsOf(tid) != Int.MaxValue
           if (relevant) {
             val dm = math.max(st.span(a, k), math.max(st.span(b, k), st.span(c, k)))
-            val mtsNew = st.triMts(tid)
+            val mtsNew = st.tris.mts(tid)
             // Lemma 5 skip: an already-valid-below-δm or still-above-δm
             // triangle changes nothing; for triangles with brand-new edges
             // the equality case must be kept (their span entry is only an
@@ -204,16 +201,16 @@ object IndexMaintenance {
     val queue = mutable.ArrayDeque.empty[Int]
     val sTris = mutable.LinkedHashSet.empty[Int] // the local δ-triangle list
     for (tid <- seedTris) {
-      val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      val a = st.tris.e1(tid); val b = st.tris.e2(tid); val c = st.tris.e3(tid)
       for (e <- Seq(a, b, c))
         if (spanK(e) >= dMinus && spanK(e) <= dPlus && region.add(e)) queue += e
     }
     while (queue.nonEmpty) {
       val e = queue.removeHead()
-      for (tid <- st.trianglesOf(e)) {
-        val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      for (tid <- st.tris.trianglesOf(e)) {
+        val a = st.tris.e1(tid); val b = st.tris.e2(tid); val c = st.tris.e3(tid)
         if (inKWorld(a) && inKWorld(b) && inKWorld(c)) {
-          val rank = math.max(st.triMts(tid),
+          val rank = math.max(st.tris.mts(tid),
             math.max(spanK(a), math.max(spanK(b), spanK(c))))
           if (rank <= dPlus) {
             sTris += tid
@@ -226,23 +223,19 @@ object IndexMaintenance {
     if (region.isEmpty) return (0, 0)
 
     // --- local decomph peel from δ+ down to δ− -------------------------
-    val triIds = sTris.toArray
+    // `active` holds exactly the local triangles; the others count as inactive
     val active = mutable.HashMap.empty[Int, Boolean]
-    val byEdgeLocal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
     val sup = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
-    val byMtsLocal = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    for (tid <- triIds) {
-      val mts = st.triMts(tid)
-      val isActive = mts <= dPlus
+    for (tid <- sTris) {
+      val isActive = st.tris.mts(tid) <= dPlus
       active(tid) = isActive
-      val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
-      for (e <- Seq(a, b, c) if region.contains(e)) {
-        byEdgeLocal.getOrElseUpdate(e, mutable.ArrayBuffer.empty) += tid
-        if (isActive) sup(e) += 1
-      }
-      if (isActive && mts > dMinus)
-        byMtsLocal.getOrElseUpdate(mts, mutable.ArrayBuffer.empty) += tid
+      val a = st.tris.e1(tid); val b = st.tris.e2(tid); val c = st.tris.e3(tid)
+      for (e <- Seq(a, b, c) if isActive && region.contains(e)) sup(e) += 1
     }
+    // the active local triangles invalidated on the way down, by mts descending
+    val drops = sTris.toArray
+      .filter(tid => active(tid) && st.tris.mts(tid) > dMinus)
+      .sortBy(tid => -st.tris.mts(tid))
     // every region edge is a member of the new T_{k,δ+}, so its support
     // there must already meet the threshold — a violation means the filters
     // above lost a supporting triangle.
@@ -255,23 +248,26 @@ object IndexMaintenance {
 
     def deactivate(tid: Int): Unit = {
       active(tid) = false
-      val a = st.triA(tid); val b = st.triB(tid); val c = st.triC(tid)
+      val a = st.tris.e1(tid); val b = st.tris.e2(tid); val c = st.tris.e3(tid)
       for (f <- Seq(a, b, c) if alive.contains(f)) {
         sup(f) -= 1
         if (sup(f) < k - 2) peelQ += f
       }
     }
 
+    var next = 0
     var step = dPlus
     while (step > dMinus) {
-      for (tid <- byMtsLocal.getOrElse(step, mutable.ArrayBuffer.empty) if active(tid))
-        deactivate(tid)
+      while (next < drops.length && st.tris.mts(drops(next)) == step) {
+        if (active(drops(next))) deactivate(drops(next))
+        next += 1
+      }
       while (peelQ.nonEmpty) {
         val e = peelQ.removeHead()
         if (alive.contains(e) && sup(e) < k - 2) {
           alive -= e
           newSpan(e) = step
-          for (tid <- byEdgeLocal.getOrElse(e, mutable.ArrayBuffer.empty) if active(tid))
+          for (tid <- st.tris.trianglesOf(e) if active.getOrElse(tid, false))
             deactivate(tid)
         }
       }

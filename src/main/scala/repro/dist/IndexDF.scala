@@ -2,7 +2,7 @@ package repro.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{KSpanTable, TCIndex}
+import repro.core.KSpanTable
 import repro.tgraph.TemporalGraph
 
 /** DataFrame-backed serialization of TC-Index — "index structures as
@@ -25,8 +25,4 @@ object IndexDF {
   /** The (k,δ)-truss as an edge DataFrame `(src, dst)`. */
   def query(indexDf: DataFrame, k: Int, delta: Int): DataFrame =
     indexDf.filter(col("k") === k && col("kspan") <= delta).select("src", "dst")
-
-  /** In-memory TC-Index query result as a comparable `(src, dst)` set. */
-  def inMemoryQueryEdges(idx: TCIndex, g: TemporalGraph, k: Int, delta: Int): Set[(Int, Int)] =
-    idx.query(k, delta).map(e => (g.edges(e).u, g.edges(e).v)).toSet
 }

@@ -44,13 +44,13 @@ object TriangleEnum {
     * and collect them back as a [[TriangleSet]] keyed by edge ids.
     */
   def triangleSet(spark: SparkSession, g: TemporalGraph): TriangleSet = {
-    val df = triangles(TemporalGraph.toGroupedDF(spark, g))
-    val tris = df.select("a", "b", "c", "mts").collect().map { r =>
-      val a = r.getInt(0); val b = r.getInt(1); val c = r.getInt(2); val mts = r.getInt(3)
-      val ids = Array(g.edgeId(a, b), g.edgeId(b, c), g.edgeId(a, c)).sorted
-      Tri(ids(0), ids(1), ids(2), mts)
+    val rows = triangles(TemporalGraph.toGroupedDF(spark, g)).select("a", "b", "c", "mts").collect()
+    val ts = new TriangleSet(g.m, rows.length)
+    rows.foreach { r =>
+      val a = r.getInt(0); val b = r.getInt(1); val c = r.getInt(2)
+      ts.add(g.edgeId(a, b), g.edgeId(b, c), g.edgeId(a, c), r.getInt(3))
     }
-    new TriangleSet(tris, g.m)
+    ts
   }
 
   /** Distribution of triangle counts over mts (the paper's Fig 9 / empirical

@@ -1,75 +1,146 @@
 package repro.triangles
 
+import java.util.Arrays
 import repro.tgraph.TemporalGraph
 
-/** One triangle of the static graph, referenced by its three edge ids, with
-  * its precomputed minimum time span. `e1 < e2 < e3` canonically.
+/** The δ-triangle list of Definition 9 — the one triangle store that
+  * construction, queries and maintenance all read.
+  *
+  * Triangle `tid` has edge ids `e1(tid) < e2(tid) < e3(tid)` and minimum
+  * time span `mts(tid)`, held in primitive int columns; every edge keeps the
+  * ids of the triangles containing it. The store only grows: the enumerators
+  * fill it with [[add]], and the maintenance state appends edges and
+  * triangles and lowers mts values as insertions arrive.
   */
-final case class Tri(e1: Int, e2: Int, e3: Int, mts: Int) {
-  def edges: Array[Int] = Array(e1, e2, e3)
-  def contains(e: Int): Boolean = e == e1 || e == e2 || e == e3
-  /** The two edges other than `e` (which must be one of the three). */
-  def others(e: Int): (Int, Int) =
-    if (e == e1) (e2, e3) else if (e == e2) (e1, e3) else (e1, e2)
-}
+final class TriangleSet private (
+    c1: IntColumn,
+    c2: IntColumn,
+    c3: IntColumn,
+    cMts: IntColumn,
+    private var inc: Array[Array[Int]], // inc(e)(0 until deg(e)) = tids through e
+    private var deg: Array[Int],
+    private var nEdges: Int,
+) {
 
-/** Minimal triangle-incidence interface shared by the immutable
-  * [[TriangleSet]] and the mutable maintenance state, so the truss-insert
-  * maintenance algorithm runs over either.
-  */
-trait TriangleAccess {
-  /** Ids of triangles containing edge `e`. */
-  def trianglesOf(e: Int): scala.collection.IndexedSeq[Int]
-  /** The two edges of triangle `tid` other than `e`. */
-  def othersOf(tid: Int, e: Int): (Int, Int)
-}
+  /** An empty store over edge ids `[0, m)`, with room for `capacity`
+    * triangles before its columns grow.
+    */
+  def this(m: Int, capacity: Int = 16) = this(
+    new IntColumn(capacity), new IntColumn(capacity), new IntColumn(capacity),
+    new IntColumn(capacity), Array.fill(m)(Array.emptyIntArray), new Array[Int](m), m)
 
-/** The δ-triangle list of Definition 9, materialized once per graph: every
-  * triangle with its mts, plus the two access paths every algorithm needs —
-  * per-edge incidence lists and per-mts buckets.
-  */
-final class TriangleSet(val tris: Array[Tri], val m: Int) extends TriangleAccess {
+  /** Number of static edges the store covers. */
+  def m: Int = nEdges
 
-  override def trianglesOf(e: Int): scala.collection.IndexedSeq[Int] =
-    scala.collection.immutable.ArraySeq.unsafeWrapArray(byEdge(e))
-  override def othersOf(tid: Int, e: Int): (Int, Int) = tris(tid).others(e)
+  /** Number of triangles. */
+  def size: Int = c1.length
 
-  /** `byEdge(e)` = ids of triangles containing edge `e`. */
-  val byEdge: Array[Array[Int]] = {
-    val cnt = new Array[Int](m)
-    tris.foreach { t => cnt(t.e1) += 1; cnt(t.e2) += 1; cnt(t.e3) += 1 }
-    val out = Array.tabulate(m)(e => new Array[Int](cnt(e)))
-    val fill = new Array[Int](m)
-    var i = 0
-    while (i < tris.length) {
-      val t = tris(i)
-      out(t.e1)(fill(t.e1)) = i; fill(t.e1) += 1
-      out(t.e2)(fill(t.e2)) = i; fill(t.e2) += 1
-      out(t.e3)(fill(t.e3)) = i; fill(t.e3) += 1
-      i += 1
+  def e1(tid: Int): Int = c1(tid)
+  def e2(tid: Int): Int = c2(tid)
+  def e3(tid: Int): Int = c3(tid)
+  def mts(tid: Int): Int = cMts(tid)
+
+  def setMts(tid: Int, d: Int): Unit = cMts(tid) = d
+
+  /** The backing arrays of the `(e1, e2, e3, mts)` columns, for the hot
+    * loops of the peeling algorithms: slots `[0, size)` hold the triangles.
+    * Read only, and only until the next [[add]].
+    */
+  def columns: (Array[Int], Array[Int], Array[Int], Array[Int]) =
+    (c1.unsafeArray, c2.unsafeArray, c3.unsafeArray, cMts.unsafeArray)
+
+  /** Number of triangles containing edge `e`. */
+  def degree(e: Int): Int = deg(e)
+
+  /** The backing incidence list of edge `e`, for hot loops: slots
+    * `[0, degree(e))` hold the ids of the triangles containing `e`. Read
+    * only, and only until the next [[add]].
+    */
+  def incident(e: Int): Array[Int] = inc(e)
+
+  /** Ids of the triangles containing edge `e`, as a fresh array. */
+  def trianglesOf(e: Int): Array[Int] = Arrays.copyOf(inc(e), deg(e))
+
+  /** The two edges of triangle `tid` other than `e`, which must be one of its three. */
+  def othersOf(tid: Int, e: Int): (Int, Int) = {
+    val a = c1(tid); val b = c2(tid); val c = c3(tid)
+    if (e == a) (b, c)
+    else if (e == b) (a, c)
+    else {
+      require(e == c, s"edge $e is not in triangle $tid")
+      (a, b)
     }
-    out
+  }
+
+  /** Append a triangle over three distinct edge ids, given in any order;
+    * returns its id.
+    */
+  def add(x: Int, y: Int, z: Int, mts: Int): Int = {
+    var a = x; var b = y; var c = z
+    if (a > b) { val t = a; a = b; b = t }
+    if (b > c) { val t = b; b = c; c = t }
+    if (a > b) { val t = a; a = b; b = t }
+    require(a >= 0 && a < b && b < c && c < nEdges && mts >= 0,
+      s"bad triangle ($x, $y, $z) with mts $mts over $nEdges edges")
+    val tid = size
+    c1 += a; c2 += b; c3 += c; cMts += mts
+    link(a, tid); link(b, tid); link(c, tid)
+    tid
+  }
+
+  private def link(e: Int, tid: Int): Unit = {
+    val d = deg(e)
+    if (d == inc(e).length) inc(e) = Arrays.copyOf(inc(e), math.max(2, 2 * d))
+    inc(e)(d) = tid
+    deg(e) = d + 1
+  }
+
+  /** Append an edge that is in no triangle yet; returns its id. */
+  def addEdge(): Int = {
+    if (nEdges == inc.length) {
+      val grown = Array.fill(math.max(1, 2 * nEdges))(Array.emptyIntArray)
+      System.arraycopy(inc, 0, grown, 0, nEdges)
+      inc = grown
+      deg = Arrays.copyOf(deg, grown.length)
+    }
+    nEdges += 1
+    nEdges - 1
   }
 
   /** Largest minimum time span over all triangles (`δ_max`); 0 if none. */
-  val deltaMax: Int = if (tris.isEmpty) 0 else tris.iterator.map(_.mts).max
-
-  /** `byMts(δ)` = ids of triangles whose mts is exactly δ (Definition 9). */
-  lazy val byMts: Array[Array[Int]] = {
-    val cnt = new Array[Int](deltaMax + 1)
-    tris.foreach(t => cnt(t.mts) += 1)
-    val out = Array.tabulate(deltaMax + 1)(d => new Array[Int](cnt(d)))
-    val fill = new Array[Int](deltaMax + 1)
+  def deltaMax: Int = {
+    var best = 0
     var i = 0
-    while (i < tris.length) {
-      val d = tris(i).mts
-      out(d)(fill(d)) = i; fill(d) += 1
-      i += 1
-    }
-    out
+    while (i < size) { if (cMts(i) > best) best = cMts(i); i += 1 }
+    best
   }
 
-  def size: Int = tris.length
+  /** The per-mts buckets of Definition 9 by one counting sort: the
+    * triangles with mts δ are `order(start(δ) until start(δ + 1))`, for
+    * `0 ≤ δ ≤ deltaMax`. Computed from the current mts column on each call.
+    */
+  def byMts(): (Array[Int], Array[Int]) = {
+    val start = new Array[Int](deltaMax + 2)
+    var i = 0
+    while (i < size) { start(cMts(i) + 1) += 1; i += 1 }
+    var d = 1
+    while (d < start.length) { start(d) += start(d - 1); d += 1 }
+    val fill = start.clone()
+    val order = new Array[Int](size)
+    i = 0
+    while (i < size) {
+      val di = cMts(i)
+      order(fill(di)) = i; fill(di) += 1
+      i += 1
+    }
+    (start, order)
+  }
+
+  /** An independent copy: later changes to either store leave the other as it was. */
+  def copy(): TriangleSet = new TriangleSet(
+    c1.copy(), c2.copy(), c3.copy(), cMts.copy(),
+    Array.tabulate(nEdges)(e => if (deg(e) == 0) Array.emptyIntArray else Arrays.copyOf(inc(e), deg(e))),
+    Arrays.copyOf(deg, nEdges), nEdges)
 }
 
 /** Driver-side triangle enumeration — the sequential reference used by tests
@@ -84,7 +155,7 @@ object DriverTriangles {
     * the three-pointer algorithm.
     */
   def enumerate(g: TemporalGraph): TriangleSet = {
-    val buf = scala.collection.mutable.ArrayBuffer.empty[Tri]
+    val ts = new TriangleSet(g.m)
     var eid = 0
     while (eid < g.m) {
       val e = g.edges(eid)
@@ -97,15 +168,13 @@ object DriverTriangles {
         else {
           if (nu > e.v) { // common neighbor w with a < b < w
             val euw = g.eidOf(au(i)); val evw = g.eidOf(av(j))
-            val mts = Mts.of(e.ts, g.edges(euw).ts, g.edges(evw).ts)
-            val ids = Array(eid, euw, evw).sorted
-            buf += Tri(ids(0), ids(1), ids(2), mts)
+            ts.add(eid, euw, evw, Mts.of(e.ts, g.edges(euw).ts, g.edges(evw).ts))
           }
           i += 1; j += 1
         }
       }
       eid += 1
     }
-    new TriangleSet(buf.toArray, g.m)
+    ts
   }
 }

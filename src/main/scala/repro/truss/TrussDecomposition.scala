@@ -20,11 +20,11 @@ object TrussDecomposition {
   /** Support of each edge = number of valid triangles containing it. */
   def supports(ts: TriangleSet, valid: Int => Boolean): Array[Int] = {
     val sup = new Array[Int](ts.m)
+    val (e1s, e2s, e3s, _) = ts.columns
     var i = 0
-    while (i < ts.tris.length) {
+    while (i < ts.size) {
       if (valid(i)) {
-        val t = ts.tris(i)
-        sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
+        sup(e1s(i)) += 1; sup(e2s(i)) += 1; sup(e3s(i)) += 1
       }
       i += 1
     }
@@ -60,7 +60,7 @@ object TrussDecomposition {
     bin(0) = 0
 
     val alive = Array.fill(m)(true)
-    val triAlive = Array.tabulate(ts.tris.length)(valid)
+    val liveTri = Array.tabulate(ts.size)(valid)
 
     var k = 2
     var i = 0
@@ -69,14 +69,13 @@ object TrussDecomposition {
       if (sup(cur) + 2 > k) k = sup(cur) + 2
       trn(cur) = k
       alive(cur) = false
-      val incident = ts.byEdge(cur)
+      val incident = ts.incident(cur)
       var ti = 0
-      while (ti < incident.length) {
+      while (ti < ts.degree(cur)) {
         val tid = incident(ti)
-        if (triAlive(tid)) {
-          triAlive(tid) = false
-          val t = ts.tris(tid)
-          val (f1, f2) = t.others(cur)
+        if (liveTri(tid)) {
+          liveTri(tid) = false
+          val (f1, f2) = ts.othersOf(tid, cur)
           var fi = 0
           while (fi < 2) {
             val f = if (fi == 0) f1 else f2
@@ -108,10 +107,10 @@ object TrussDecomposition {
     var changed = true
     while (changed) {
       val sup = new Array[Int](ts.m)
-      for (i <- ts.tris.indices if valid(i)) {
-        val t = ts.tris(i)
-        if (alive(t.e1) && alive(t.e2) && alive(t.e3)) {
-          sup(t.e1) += 1; sup(t.e2) += 1; sup(t.e3) += 1
+      for (i <- 0 until ts.size if valid(i)) {
+        val a = ts.e1(i); val b = ts.e2(i); val c = ts.e3(i)
+        if (alive(a) && alive(b) && alive(c)) {
+          sup(a) += 1; sup(b) += 1; sup(c) += 1
         }
       }
       val next = alive.filter(e => sup(e) >= k - 2)

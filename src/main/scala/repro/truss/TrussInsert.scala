@@ -1,6 +1,6 @@
 package repro.truss
 
-import repro.triangles.TriangleAccess
+import repro.triangles.{IntColumn, TriangleSet}
 
 /** Static-trussness maintenance under **edge insertion** (the building block
   * of §VI-B.2), after Huang et al., SIGMOD'14.
@@ -26,11 +26,11 @@ object TrussInsert {
     * entry. Returns the set of pre-existing edges whose trussness increased
     * (excluding `e0`, whose final trussness is left in `trn(e0)`).
     */
-  def maintain(ts: TriangleAccess, trn: Array[Int], e0: Int): Set[Int] = {
+  def maintain(ts: TriangleSet, trn: IntColumn, e0: Int): Set[Int] = {
     val keys = ts.trianglesOf(e0).map { tid =>
       val (a, b) = ts.othersOf(tid, e0)
       math.min(trn(a), trn(b))
-    }.toArray.sortBy((x: Int) => -x)
+    }.sortBy((x: Int) => -x)
 
     var k2 = 2
     var i = 0

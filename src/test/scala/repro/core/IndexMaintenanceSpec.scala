@@ -27,6 +27,7 @@ class IndexMaintenanceSpec extends AnyFunSuite {
         s"$ctx: k-span row of edge $e (${st.eU(e)},${st.eV(e)}) " +
           s"got=${got.spans(e).toSeq} want=${rebuilt.spans(e).toSeq}")
     }
+    TestGraphs.assertMatchesEnumeration(st, ctx)
   }
 
   /** Remove `n` random temporal interactions, then replay them through the
@@ -122,6 +123,18 @@ class IndexMaintenanceSpec extends AnyFunSuite {
     assert(r.newStaticEdge)
     assertMatchesRebuild(st, "K5 completion")
     assert((0 until st.m).forall(st.trn(_) == 5))
+  }
+
+  test("stream from an empty graph: 200 random insertions on 8 vertices") {
+    val st = freshState(new TemporalGraph(Array.empty))
+    val rnd = new Random(11)
+    for (i <- 0 until 200) {
+      val u = rnd.nextInt(8); val v = (u + 1 + rnd.nextInt(7)) % 8
+      val t = rnd.nextInt(50)
+      IndexMaintenance.insert(st, u, v, t)
+      assertMatchesRebuild(st, s"empty-start step $i ($u,$v,$t)")
+    }
+    assert(st.m == 28 && st.tris.size == 56) // the stream completes K8
   }
 
   test("stream: grow two overlapping cliques edge by edge from scratch-ish base") {

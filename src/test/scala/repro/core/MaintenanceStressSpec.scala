@@ -39,6 +39,7 @@ class MaintenanceStressSpec extends AnyFunSuite {
         assert(got.trn.toSeq == rebuilt.trn.toSeq, "trussness diverged")
         for (e <- 0 until got.m)
           assert(got.spans(e).toSeq == rebuilt.spans(e).toSeq, s"edge $e spans diverged")
+        TestGraphs.assertMatchesEnumeration(st, s"stress seed=$seed")
       }
     }
   }

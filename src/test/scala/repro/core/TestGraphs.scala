@@ -1,6 +1,8 @@
 package repro.core
 
 import scala.util.Random
+import org.scalatest.Assertions._
+import repro.core.maintenance.DynamicState
 import repro.tgraph.{TemporalGraph, TemporalGraphGen}
 import repro.triangles.{DriverTriangles, TriangleSet}
 
@@ -33,7 +35,20 @@ object TestGraphs {
 
   /** Brute-force edge set of T_{k,δ}: fixpoint peeling over δ-triangles. */
   def bruteTruss(ts: TriangleSet, k: Int, delta: Int): Set[Int] =
-    repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.tris(i).mts <= delta)
+    repro.truss.TrussDecomposition.fixpointTruss(ts, k, i => ts.mts(i) <= delta)
+
+  /** The triangles of `ts` as `(e1, e2, e3, mts)` rows, for comparing stores. */
+  def rows(ts: TriangleSet): Set[(Int, Int, Int, Int)] =
+    (0 until ts.size).map(i => (ts.e1(i), ts.e2(i), ts.e3(i), ts.mts(i))).toSet
+
+  /** The maintained triangles and k-span table equal an independent rebuild
+    * from the state's graph: a fresh enumeration and an MBA run over it.
+    */
+  def assertMatchesEnumeration(st: DynamicState, ctx: String): Unit = {
+    val fresh = DriverTriangles.enumerate(st.snapshotGraph)
+    assert(rows(st.snapshotTriangles) == rows(fresh), s"$ctx: maintained triangles diverged from enumeration")
+    assert(st.snapshotTable == MBA.build(fresh), s"$ctx: k-span table diverged from rebuild of enumeration")
+  }
 
   /** All (k, δ) pairs worth checking exhaustively on a small graph. */
   def allParams(ts: TriangleSet, kMax: Int): Seq[(Int, Int)] =

@@ -45,6 +45,10 @@ class DistTrussSpec extends SparkSpec {
   }
 
   // --- DataFrame-backed TC-Index ---------------------------------------
+  /** In-memory TC-Index query result as a comparable `(src, dst)` set. */
+  private def inMemoryQueryEdges(idx: TCIndex, g: TemporalGraph, k: Int, delta: Int): Set[(Int, Int)] =
+    idx.query(k, delta).map(e => (g.edges(e).u, g.edges(e).v)).toSet
+
   for (seed <- 0 until 3) {
     test(s"seed=$seed: IndexDF query equals in-memory TC-Query on sampled (k,δ)") {
       val g = TestGraphs.random(seed + 30)
@@ -56,7 +60,7 @@ class DistTrussSpec extends SparkSpec {
         for (k <- 3 to math.min(idx.kMax, 5); d <- Seq(0, ts.deltaMax / 2, ts.deltaMax)) {
           val viaDf = IndexDF.query(df, k, d).collect()
             .map(r => (r.getInt(0), r.getInt(1))).toSet
-          assert(viaDf == IndexDF.inMemoryQueryEdges(idx, g, k, d), s"k=$k d=$d")
+          assert(viaDf == inMemoryQueryEdges(idx, g, k, d), s"k=$k d=$d")
         }
       } finally df.unpersist()
     }

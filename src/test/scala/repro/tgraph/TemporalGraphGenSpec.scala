@@ -36,7 +36,7 @@ class TemporalGraphGenSpec extends AnyFunSuite {
   test("mts distribution is wide (bursty + uniform mixture, Fig 9 shape)") {
     val g = TemporalGraphGen.generate(tiny)
     val ts = DriverTriangles.enumerate(g)
-    val mtss = ts.tris.map(_.mts)
+    val mtss = (0 until ts.size).map(ts.mts)
     // spread: both tight (< 10% horizon) and loose (> 40% horizon) triangles
     assert(mtss.count(_ < tiny.horizon / 10) > 0, "no tight triangles")
     assert(mtss.count(_ > (tiny.horizon * 0.4).toInt) > 0, "no loose triangles")

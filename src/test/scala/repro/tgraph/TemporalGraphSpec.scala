@@ -1,9 +1,17 @@
 package repro.tgraph
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.sql.functions.col
+import repro.SparkSpec
 
 /** Temporal graph substrate (S1): canonicalization, adjacency, round trips. */
-class TemporalGraphSpec extends AnyFunSuite {
+class TemporalGraphSpec extends SparkSpec {
+
+  test("toDF of the email-lite analog is a canonical temporal edge stream") {
+    val df = TemporalGraph.toDF(spark, TemporalGraphGen.generate(TemporalGraphGen.byName("email-lite")))
+    assert(df.columns.toSeq == Seq("src", "dst", "t"))
+    assert(df.filter(col("src") >= col("dst")).count() == 0)
+    assert(df.count() > 10000)
+  }
 
   test("fromInteractions canonicalizes, dedupes and sorts timestamps") {
     val g = TemporalGraph.fromInteractions(Seq((5, 2, 9), (2, 5, 3), (2, 5, 9), (1, 1, 4)))

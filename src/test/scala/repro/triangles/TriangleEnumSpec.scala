@@ -17,11 +17,11 @@ class TriangleEnumSpec extends SparkSpec {
 
   private def driverTris(g: TemporalGraph): Set[(Int, Int, Int, Int)] = {
     val ts = DriverTriangles.enumerate(g)
-    ts.tris.map { t =>
+    (0 until ts.size).map { i =>
       // edge ids back to vertex triple a < b < c
-      val vs = Array(t.e1, t.e2, t.e3).flatMap(e => Array(g.edges(e).u, g.edges(e).v))
+      val vs = Array(ts.e1(i), ts.e2(i), ts.e3(i)).flatMap(e => Array(g.edges(e).u, g.edges(e).v))
         .distinct.sorted
-      (vs(0), vs(1), vs(2), t.mts)
+      (vs(0), vs(1), vs(2), ts.mts(i))
     }.toSet
   }
 
@@ -86,7 +86,6 @@ class TriangleEnumSpec extends SparkSpec {
     val viaSpark = TriangleEnum.triangleSet(spark, g)
     val viaDriver = DriverTriangles.enumerate(g)
     assert(viaSpark.size == viaDriver.size)
-    assert(viaSpark.tris.map(t => (t.e1, t.e2, t.e3, t.mts)).toSet ==
-      viaDriver.tris.map(t => (t.e1, t.e2, t.e3, t.mts)).toSet)
+    assert(TestGraphs.rows(viaSpark) == TestGraphs.rows(viaDriver))
   }
 }

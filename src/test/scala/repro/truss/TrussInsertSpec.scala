@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.TestGraphs
 import repro.tgraph.TemporalGraph
-import repro.triangles.DriverTriangles
+import repro.triangles.{DriverTriangles, IntColumn}
 
 /** Trussness maintenance under edge insertion (substrate S7) against full
   * recomputation, over random insertion positions.
@@ -24,14 +24,14 @@ class TrussInsertSpec extends AnyFunSuite {
     val e0 = full.m - 1
 
     val trnReduced = TrussDecomposition.trussness(DriverTriangles.enumerate(reduced))
-    val trn = java.util.Arrays.copyOf(trnReduced, full.m)
+    val trn = IntColumn.from(java.util.Arrays.copyOf(trnReduced, full.m))
     trn(e0) = 2
     val upgraded = TrussInsert.maintain(tsFull, trn, e0)
 
     val expected = TrussDecomposition.trussness(tsFull)
-    assert(trn.toSeq == expected.toSeq,
+    assert(trn.toArray.toSeq == expected.toSeq,
       s"removed=${removed.u}-${removed.v} diff=${
-        trn.indices.filter(i => trn(i) != expected(i))
+        expected.indices.filter(i => trn(i) != expected(i))
           .map(i => s"$i:(${trn(i)} vs ${expected(i)})").take(5)}")
     // upgraded set must be exactly the edges whose trussness changed
     val changed = trnReduced.indices.filter(i => trnReduced(i) != expected(i)).toSet
@@ -76,11 +76,11 @@ class TrussInsertSpec extends AnyFunSuite {
       // append new edge last to keep prefix ids
       val full = new TemporalGraph(before.edges :+ repro.tgraph.TEdge(u, v, Array(1)))
       val tsF = DriverTriangles.enumerate(full)
-      val trn = java.util.Arrays.copyOf(
-        TrussDecomposition.trussness(DriverTriangles.enumerate(before)), full.m)
+      val trn = IntColumn.from(java.util.Arrays.copyOf(
+        TrussDecomposition.trussness(DriverTriangles.enumerate(before)), full.m))
       trn(full.m - 1) = 2
       TrussInsert.maintain(tsF, trn, full.m - 1)
-      assert(trn.toSeq == TrussDecomposition.trussness(tsF).toSeq, s"after inserting ($u,$v)")
+      assert(trn.toArray.toSeq == TrussDecomposition.trussness(tsF).toSeq, s"after inserting ($u,$v)")
     }
   }
 }
