@@ -91,6 +91,7 @@ object DCIndex {
 
     val nK = kMax - 2          // rows k = 3..kMax
     val nD = dMax + 1          // cols δ = 0..dMax
+    val (trn, spans) = t.columns
     @inline def gid(k: Int, d: Int): Int = (k - 3) * nD + d
 
     // cntAll(k,δ) = #edges with trn ≥ k, kspan(e,k) = δ  (horizontal weight)
@@ -98,8 +99,8 @@ object DCIndex {
     var e = 0
     while (e < t.m) {
       var k = 3
-      while (k <= t.trn(e)) {
-        val d = t.span(e, k)
+      while (k <= trn(e)) {
+        val d = spans(e)(k - 3)
         cntAll(k - 3)(d) += 1
         k += 1
       }
@@ -168,8 +169,8 @@ object DCIndex {
     e = 0
     while (e < t.m) {
       var k2 = 3
-      while (k2 <= t.trn(e)) {
-        val d = t.span(e, k2)
+      while (k2 <= trn(e)) {
+        val d = spans(e)(k2 - 3)
         val cur = cursor(k2 - 3)
         flatKD(k2 - 3)(cur(d)) = e; cur(d) += 1
         k2 += 1
@@ -183,7 +184,7 @@ object DCIndex {
     // nondecreasing in k, so e ∈ T_{k,δ} \ T_{k+1,δ} iff
     // kspan(e,k) ≤ δ < kspan(e,k+1)
     @inline def spanUp(e2: Int, k2: Int): Int =
-      if (k2 >= t.trn(e2)) Int.MaxValue else t.span(e2, k2 + 1)
+      if (k2 >= trn(e2)) Int.MaxValue else spans(e2)(k2 - 2)
 
     val nodeId = Array.fill(nK * nD)(-1)
     val kept = scala.collection.mutable.ArrayBuffer.empty[Int]

@@ -50,7 +50,6 @@ object OnlineQuery {
           ti += 1
         }
       }
-      e += 1
     }
     (0 until m).filter(alive).toArray
   }

@@ -62,10 +62,11 @@ object TCIndex {
     */
   def buildRow(t: KSpanTable, k: Int): TCRow = {
     val cnt = new Array[Int](t.deltaMax + 2)
+    val (trn, spans) = t.columns
     var e = 0
     var members = 0
     while (e < t.m) {
-      if (t.trn(e) >= k) { cnt(t.span(e, k)) += 1; members += 1 }
+      if (trn(e) >= k) { cnt(spans(e)(k - 3)) += 1; members += 1 }
       e += 1
     }
     // descending span: offsets from the top
@@ -77,8 +78,8 @@ object TCIndex {
     val fill = off.clone()
     e = 0
     while (e < t.m) {
-      if (t.trn(e) >= k) {
-        val s = t.span(e, k)
+      if (trn(e) >= k) {
+        val s = spans(e)(k - 3)
         sorted(fill(s)) = e; fill(s) += 1
       }
       e += 1

@@ -8,7 +8,8 @@ import repro.triangles.{IntColumn, Mts, TriangleSet}
 /** Mutable companion of a temporal graph plus its complete (k,δ)-truss
   * answer state — everything §VI's filter-and-verification algorithm reads
   * and writes: the timestamped edges, the triangle store with live mts
-  * values, the static trussness and the k-span table.
+  * values, and the k-span table with the static trussness. The store and
+  * the table are the build's own types, updated in place.
   *
   * Growth-only by design (the paper assumes history is immutable: edges and
   * timestamps are only inserted).
@@ -19,8 +20,7 @@ final class DynamicState private (
     val eTs: mutable.ArrayBuffer[Array[Int]],
     val adjOf: mutable.ArrayBuffer[mutable.HashMap[Int, Int]], // vertex -> (nbr -> eid)
     val tris: TriangleSet,
-    val trn: IntColumn,
-    val kspan: mutable.ArrayBuffer[Array[Int]],
+    val table: KSpanTable,
 ) {
 
   def m: Int = eU.length
@@ -30,16 +30,16 @@ final class DynamicState private (
     if (a >= adjOf.length) -1 else adjOf(a).getOrElse(b, -1)
   }
 
-  def span(e: Int, k: Int): Int = kspan(e)(k - 3)
-  def setSpan(e: Int, k: Int, d: Int): Unit = kspan(e)(k - 3) = d
+  def trn: IntColumn = table.trn
+  def span(e: Int, k: Int): Int = table.span(e, k)
 
   def ensureVertex(v: Int): Unit =
     while (adjOf.length <= v) adjOf += mutable.HashMap.empty[Int, Int]
 
   /** Append a brand-new static edge (canonical `u < v`) with one timestamp;
     * registers its triangles (common-neighbor scan) and returns
-    * `(edgeId, newTriangleIds)`. Trussness/k-span state is extended with
-    * placeholders (`trn = 2`, empty k-span row) — the caller maintains them.
+    * `(edgeId, newTriangleIds)`. The table gets a placeholder (`trn = 2`,
+    * empty k-span row) — the caller maintains it.
     */
   def addEdge(u: Int, v: Int, t: Int): (Int, Seq[Int]) = {
     require(u < v && edgeId(u, v) < 0)
@@ -47,8 +47,7 @@ final class DynamicState private (
     val eid = tris.addEdge()
     eU += u; eV += v; eTs += Array(t)
     adjOf(u)(v) = eid; adjOf(v)(u) = eid
-    trn += 2
-    kspan += Array.emptyIntArray
+    table.addEdge()
     val newTris = mutable.ArrayBuffer.empty[Int]
     // common neighbors of u and v
     val (small, large) = if (adjOf(u).size <= adjOf(v).size) (u, v) else (v, u)
@@ -57,7 +56,7 @@ final class DynamicState private (
         case Some(eLarge) =>
           val mtsNew = Mts.of(eTs(eid), eTs(eSmall), eTs(eLarge))
           newTris += tris.add(eid, eSmall, eLarge, mtsNew)
-          bumpDeltaUB(mtsNew)
+          table.coverMts(mtsNew)
         case None =>
       }
     }
@@ -91,19 +90,6 @@ final class DynamicState private (
     changed.toSeq
   }
 
-  /** Grow the k-span row of `e` to cover `k = 3..trn(e)` after a trussness
-    * increase; new top slots are initialized to `init`.
-    */
-  def growSpanRow(e: Int, init: Int): Unit = {
-    val want = math.max(0, trn(e) - 2)
-    val cur = kspan(e)
-    if (cur.length < want) {
-      val nu = java.util.Arrays.copyOf(cur, want)
-      java.util.Arrays.fill(nu, cur.length, want, init)
-      kspan(e) = nu
-    }
-  }
-
   // --- snapshots for verification against rebuild ------------------------
 
   def snapshotGraph: TemporalGraph =
@@ -111,25 +97,14 @@ final class DynamicState private (
 
   def snapshotTriangles: TriangleSet = tris.copy()
 
-  def deltaMax: Int = tris.deltaMax
+  /** A copy of the table with the exact δmax of the current triangles. */
+  def snapshotTable: KSpanTable = table.copy(tris.deltaMax)
 
-  def snapshotTable: KSpanTable =
-    new KSpanTable(trn.toArray, kspan.map(_.clone()).toArray, deltaMax)
-
-  /** Monotone upper bound on deltaMax (mts only shrinks; new triangles may
-    * raise it) — lets [[tableView]] avoid the O(|Δ|) max scan per call.
+  /** The held table itself, no copy, for incremental index refreshes. It
+    * stays valid until the next insertion; its `deltaMax` is an upper bound
+    * (see [[KSpanTable.deltaMax]]).
     */
-  private var deltaMaxUB: Int = tris.deltaMax
-
-  private[maintenance] def bumpDeltaUB(mts: Int): Unit =
-    if (mts > deltaMaxUB) deltaMaxUB = mts
-
-  /** O(m) zero-copy view of the current k-span state (span rows shared, not
-    * cloned) for incremental index refreshes; `deltaMax` is the monotone
-    * upper bound, which only loosens directory sizing, never correctness.
-    */
-  def tableView: KSpanTable =
-    new KSpanTable(trn.toArray, kspan.toArray, deltaMaxUB)
+  def tableView: KSpanTable = table
 }
 
 object DynamicState {
@@ -143,13 +118,12 @@ object DynamicState {
     val adj = mutable.ArrayBuffer.fill(math.max(1, g.nVertexIds))(mutable.HashMap.empty[Int, Int])
     for (e <- 0 until g.m) { adj(g.edges(e).u)(g.edges(e).v) = e; adj(g.edges(e).v)(g.edges(e).u) = e }
     new DynamicState(
-      IntColumn.from(g.edges.map(_.u)),
-      IntColumn.from(g.edges.map(_.v)),
+      IntColumn.wrap(g.edges.map(_.u)),
+      IntColumn.wrap(g.edges.map(_.v)),
       mutable.ArrayBuffer.from(g.edges.map(_.ts.clone())),
       adj,
       ts.copy(),
-      IntColumn.from(table.trn),
-      mutable.ArrayBuffer.from(table.spans.map(_.clone())),
+      table.copy(),
     )
   }
 }

@@ -45,9 +45,13 @@ object IndexMaintenance {
       changedLevels: Set[Int],
   )
 
-  /** Insert temporal edge `(u, v, t)` and restore the full k-span state. */
+  /** Insert temporal edge `(u, v, t)` and restore the full k-span state.
+    * Bad input is rejected before the state changes.
+    */
   def insert(st: DynamicState, uRaw: Int, vRaw: Int, t: Int): InsertReport = {
     require(uRaw != vRaw, "self loops are not part of the model")
+    require(uRaw >= 0 && vRaw >= 0 && t >= 0,
+      s"vertex ids and timestamps must be non-negative, got ($uRaw, $vRaw, $t)")
     val (u, v) = if (uRaw < vRaw) (uRaw, vRaw) else (vRaw, uRaw)
     st.ensureVertex(v)
     val existing = st.edgeId(u, v)
@@ -75,15 +79,15 @@ object IndexMaintenance {
       // max of (t1) the mts of every k-world triangle touching it and (t2)
       // the current k-span of every settled companion in those triangles.
       // The fixpoint argument of Lemma 7 applies verbatim to the union.
-      if (kHigh >= 3) st.kspan(e0) = new Array[Int](kHigh - 2)
+      st.table.growRow(e0, 0)
       var kEst = 3
       while (kEst <= kHigh) {
         val newish = entrantsAt.getOrElse(kEst, Set.empty) + e0
         val bound = jointUpperBound(st, kEst, newish)
         for (e <- newish if e != e0; if st.trn(e) == kEst) {
-          st.growSpanRow(e, bound); st.setSpan(e, kEst, bound)
+          st.table.growRow(e, bound); st.table.setSpan(e, kEst, bound)
         }
-        st.setSpan(e0, kEst, bound)
+        st.table.setSpan(e0, kEst, bound)
         kEst += 1
       }
 
@@ -120,7 +124,7 @@ object IndexMaintenance {
         found = true
         if (st.tris.mts(tid) > bound) bound = st.tris.mts(tid)
         for (f <- Seq(a, b)) {
-          if (!newish.contains(f) && st.kspan(f).length >= k - 2 && st.span(f, k) > bound)
+          if (!newish.contains(f) && st.table.spans(f).length >= k - 2 && st.span(f, k) > bound)
             bound = st.span(f, k)
         }
       }
@@ -279,7 +283,7 @@ object IndexMaintenance {
     for ((e, nu) <- newSpan) {
       val old = spanK(e)
       assert(nu <= old, s"k-span may only shrink on insertion: edge $e k=$k $old -> $nu")
-      if (nu != old) { st.setSpan(e, k, nu); changed += 1 }
+      if (nu != old) { st.table.setSpan(e, k, nu); changed += 1 }
     }
     (region.size, changed)
   }

@@ -1,14 +1,15 @@
 package repro.tgraph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** A temporal edge `(u, v, τ)` in canonical form: `u < v` and `ts` sorted,
-  * distinct and non-empty (Preliminaries §II of the paper).
+  * distinct and non-empty (Preliminaries §II of the paper). Vertex ids and
+  * timestamps are non-negative, so a timestamp difference never overflows.
   */
 final case class TEdge(u: Int, v: Int, ts: Array[Int]) {
   require(u < v, s"temporal edge must be canonical (u < v), got ($u, $v)")
   require(ts.nonEmpty, s"temporal edge ($u, $v) must carry at least one timestamp")
+  require(u >= 0 && ts.forall(_ >= 0), s"temporal edge ($u, $v) needs non-negative ids and timestamps")
 }
 
 /** Immutable driver-side temporal graph `G_t = (V, E, Γ)`.
@@ -129,13 +130,5 @@ object TemporalGraph {
   def toGroupedDF(spark: SparkSession, g: TemporalGraph): DataFrame = {
     import spark.implicits._
     g.edges.toSeq.map(e => (e.u, e.v, e.ts.toSeq)).toDF("src", "dst", "ts")
-  }
-
-  /** Collect a `(src, dst, t)` DataFrame back into the driver-side model. */
-  def fromDF(df: DataFrame): TemporalGraph = {
-    val rows = df.select(col("src").cast("int"), col("dst").cast("int"), col("t").cast("int"))
-      .collect()
-      .map((r: Row) => (r.getInt(0), r.getInt(1), r.getInt(2)))
-    fromInteractions(rows)
   }
 }

@@ -41,12 +41,17 @@ final class IntColumn private (private var data: Array[Int], private var n: Int)
   /** The values as an exact-length array, independent of the column. */
   def toArray: Array[Int] = java.util.Arrays.copyOf(data, n)
 
+  /** [[toArray]] with slot `i` set to `x`. */
+  def updated(i: Int, x: Int): Array[Int] = { val a = toArray; a(i) = x; a }
+
   /** An independent column with the same values. */
   def copy(): IntColumn = new IntColumn(toArray, n)
 }
 
 object IntColumn {
 
-  /** A column holding a copy of `xs`. */
-  def from(xs: Array[Int]): IntColumn = new IntColumn(xs.clone(), xs.length)
+  /** A column over `xs` itself, without a copy: the column takes `xs` over,
+    * and the caller must not write to it afterwards.
+    */
+  def wrap(xs: Array[Int]): IntColumn = new IntColumn(xs, xs.length)
 }

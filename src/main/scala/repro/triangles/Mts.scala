@@ -11,7 +11,8 @@ object Mts {
 
   /** Three-pointer "smallest range covering one element of each list".
     *
-    * Requires the three arrays sorted ascending (the `TEdge` invariant).
+    * Requires the three arrays sorted ascending and non-negative (the
+    * `TEdge` invariants), so `hi − lo` cannot overflow.
     * Runs in `O(|a| + |b| + |c|)`: repeatedly record the span of the current
     * heads and advance the pointer holding the minimum — the classic proof
     * that no candidate window is skipped carries over verbatim.

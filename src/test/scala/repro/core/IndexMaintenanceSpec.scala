@@ -21,13 +21,21 @@ class IndexMaintenanceSpec extends AnyFunSuite {
   private def assertMatchesRebuild(st: DynamicState, ctx: String): Unit = {
     val rebuilt = MBA.build(st.snapshotTriangles)
     val got = st.snapshotTable
-    assert(got.trn.toSeq == rebuilt.trn.toSeq, s"$ctx: trussness diverged")
+    assert(got.trn.toArray.toSeq == rebuilt.trn.toArray.toSeq, s"$ctx: trussness diverged")
     for (e <- 0 until got.m) {
       assert(got.spans(e).toSeq == rebuilt.spans(e).toSeq,
         s"$ctx: k-span row of edge $e (${st.eU(e)},${st.eV(e)}) " +
           s"got=${got.spans(e).toSeq} want=${rebuilt.spans(e).toSeq}")
     }
     TestGraphs.assertMatchesEnumeration(st, ctx)
+    // the live table the indexes are refreshed from: the same values, kMax
+    // kept current in place, deltaMax at most loosened
+    val live = st.tableView
+    assert(live.trn.toArray.toSeq == got.trn.toArray.toSeq, s"$ctx: live trussness diverged")
+    assert((0 until got.m).forall(e => live.spans(e).sameElements(got.spans(e))),
+      s"$ctx: live k-span rows diverged")
+    assert(live.kMax == got.kMax, s"$ctx: live kMax ${live.kMax}, snapshot ${got.kMax}")
+    assert(live.deltaMax >= got.deltaMax, s"$ctx: live deltaMax below the snapshot's")
   }
 
   /** Remove `n` random temporal interactions, then replay them through the
@@ -135,6 +143,32 @@ class IndexMaintenanceSpec extends AnyFunSuite {
       assertMatchesRebuild(st, s"empty-start step $i ($u,$v,$t)")
     }
     assert(st.m == 28 && st.tris.size == 56) // the stream completes K8
+  }
+
+  test("fromGraph leaves the triangles and table it was given unchanged") {
+    val g = TestGraphs.random(5)
+    val ts = DriverTriangles.enumerate(g)
+    val table = MBA.build(ts)
+    val (rowsBefore, tableBefore) = (TestGraphs.rows(ts), table.copy())
+    val st = DynamicState.fromGraph(g, ts, table)
+    val rnd = new Random(5)
+    for (_ <- 0 until 40) {
+      val u = rnd.nextInt(16); val v = (u + 1 + rnd.nextInt(15)) % 16
+      IndexMaintenance.insert(st, u, v, rnd.nextInt(30))
+    }
+    assert(st.m > g.m && st.tableView.kMax > tableBefore.kMax) // the stream did grow the state
+    assert(ts.m == g.m && TestGraphs.rows(ts) == rowsBefore)
+    assert(table == tableBefore && table.kMax == tableBefore.kMax)
+  }
+
+  test("a negative timestamp is rejected before the state changes") {
+    // with t = -1 the new triangle's mts would be Int.MaxValue - (-1), which overflows
+    val st = freshState(TemporalGraph((0, 1, Seq(Int.MaxValue)), (1, 2, Seq(0))))
+    val before = st.snapshotTable
+    intercept[IllegalArgumentException](IndexMaintenance.insert(st, 0, 2, -1))
+    intercept[IllegalArgumentException](IndexMaintenance.insert(st, -3, 2, 5))
+    assert(st.m == 2 && st.tris.size == 0 && st.edgeId(0, 2) == -1)
+    assert(st.snapshotTable == before)
   }
 
   test("stream: grow two overlapping cliques edge by edge from scratch-ish base") {

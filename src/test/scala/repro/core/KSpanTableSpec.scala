@@ -40,12 +40,12 @@ class KSpanTableSpec extends AnyFunSuite {
     assert(a == b)
     assert(a.hashCode == b.hashCode)
     if (a.m > 0 && a.trn(0) >= 3) {
-      val spans2 = a.spans.map(_.clone())
+      val spans2 = a.spans.toArray.map(_.clone())
       spans2(0)(0) = spans2(0)(0) + 1
-      val c = new KSpanTable(a.trn.clone(), spans2, a.deltaMax)
+      val c = new KSpanTable(a.trn.toArray, spans2, a.deltaMax)
       assert(a != c)
     }
-    assert(a != new KSpanTable(a.trn.clone(), a.spans.map(_.clone()), a.deltaMax + 1))
+    assert(a != new KSpanTable(a.trn.toArray, a.spans.toArray.map(_.clone()), a.deltaMax + 1))
   }
 
   test("kMax floors at 2 on empty tables") {

@@ -53,5 +53,7 @@ class TemporalGraphSpec extends SparkSpec {
   test("TEdge invariants are enforced") {
     intercept[IllegalArgumentException](TEdge(3, 2, Array(1)))
     intercept[IllegalArgumentException](TEdge(1, 2, Array.empty))
+    intercept[IllegalArgumentException](TEdge(-1, 2, Array(1)))
+    intercept[IllegalArgumentException](TEdge(1, 2, Array(-5, 3)))
   }
 }

@@ -24,7 +24,7 @@ class TrussInsertSpec extends AnyFunSuite {
     val e0 = full.m - 1
 
     val trnReduced = TrussDecomposition.trussness(DriverTriangles.enumerate(reduced))
-    val trn = IntColumn.from(java.util.Arrays.copyOf(trnReduced, full.m))
+    val trn = IntColumn.wrap(java.util.Arrays.copyOf(trnReduced, full.m))
     trn(e0) = 2
     val upgraded = TrussInsert.maintain(tsFull, trn, e0)
 
@@ -76,7 +76,7 @@ class TrussInsertSpec extends AnyFunSuite {
       // append new edge last to keep prefix ids
       val full = new TemporalGraph(before.edges :+ repro.tgraph.TEdge(u, v, Array(1)))
       val tsF = DriverTriangles.enumerate(full)
-      val trn = IntColumn.from(java.util.Arrays.copyOf(
+      val trn = IntColumn.wrap(java.util.Arrays.copyOf(
         TrussDecomposition.trussness(DriverTriangles.enumerate(before)), full.m))
       trn(full.m - 1) = 2
       TrussInsert.maintain(tsF, trn, full.m - 1)
