@@ -9,7 +9,7 @@ import repro.triangles.TriangleSet
   * survivor set falls below `k−2`. The survivors are the maximal subgraph of
   * Definition 4. Cost is dominated by triangle listing + mts evaluation,
   * which the caller amortizes through the precomputed [[TriangleSet]]
-  * (built once per graph by the Spark enumerator).
+  * (built once per graph by [[repro.triangles.TriangleEnum.triangleSet]]).
   */
 object OnlineQuery {
 

@@ -27,8 +27,8 @@ object GraphStats {
 
   /** Compute Table-I statistics: the set-level aggregates run as Spark SQL
     * over the exploded temporal-edge DataFrame, triangles + mts through the
-    * Spark enumerator, and kmax via driver truss decomposition over the
-    * collected δ-triangle list.
+    * parallel driver enumerator [[TriangleEnum.triangleSet]], and kmax via
+    * driver truss decomposition over that δ-triangle list.
     */
   def compute(spark: SparkSession, name: String, g: TemporalGraph): GraphStats = {
     val te = TemporalGraph.toDF(spark, g)

@@ -143,9 +143,9 @@ final class TriangleSet private (
     Arrays.copyOf(deg, nEdges), nEdges)
 }
 
-/** Driver-side triangle enumeration — the sequential reference used by tests
-  * and by the dynamic-maintenance state (the Spark enumerator in
-  * [[TriangleEnum]] is the scalable path).
+/** Sequential per-edge triangle enumeration — the independent reference for
+  * the parallel build enumerator [[TriangleEnum.triangleSet]]. The two share
+  * no code; tests and the benchmark's build check compare them.
   */
 object DriverTriangles {
 

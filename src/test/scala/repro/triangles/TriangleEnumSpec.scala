@@ -2,12 +2,13 @@ package repro.triangles
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.TestGraphs
+import repro.core.{MBA, TestGraphs}
 import repro.dist.GraphXCheck
 import repro.tgraph.{TemporalGraph, TemporalGraphGen}
 
-/** Spark triangle enumeration + mts (S4) against the driver reference, a
-  * DuckDB SQL oracle, and GraphX triangle counting.
+/** Triangle enumeration + mts (S4): the parallel build enumerator and the
+  * Spark SQL join against the sequential driver reference, the join also
+  * against a DuckDB SQL oracle and GraphX triangle counting.
   */
 class TriangleEnumSpec extends SparkSpec {
 
@@ -80,12 +81,79 @@ class TriangleEnumSpec extends SparkSpec {
     assert(hist.map(_.getLong(1)).sum == DriverTriangles.enumerate(g).size)
   }
 
-  test("generator analog graph: spark triangle set builds a consistent TriangleSet") {
+  test("generator analog graph: the parallel build enumerator builds a consistent TriangleSet") {
     val g = TemporalGraphGen.generate(
       TemporalGraphGen.GenCfgForTest.copy(seed = 5))
     val viaSpark = TriangleEnum.triangleSet(spark, g)
     val viaDriver = DriverTriangles.enumerate(g)
     assert(viaSpark.size == viaDriver.size)
     assert(TestGraphs.rows(viaSpark) == TestGraphs.rows(viaDriver))
+  }
+
+  /** The build enumerator on `threads` threads, checked against the
+    * sequential reference: same `(e1, e2, e3, mts)` rows, same MBA table.
+    */
+  private def assertMatchesDriver(g: TemporalGraph, threads: Int = 4): TriangleSet = {
+    val got = TriangleEnum.forwardTriangles(g, threads)
+    val ref = DriverTriangles.enumerate(g)
+    assert(got.size == ref.size)
+    assert(TestGraphs.rows(got) == TestGraphs.rows(ref))
+    assert(MBA.build(got) == MBA.build(ref))
+    got
+  }
+
+  private def analog(name: String): TemporalGraph =
+    TemporalGraphGen.generate(TemporalGraphGen.byName(name))
+
+  for (seed <- 0 until 6) {
+    test(s"random graph seed=$seed: parallel build enumerator equals driver reference, same MBA table") {
+      assertMatchesDriver(TestGraphs.random(seed))
+    }
+  }
+
+  test("running example: parallel build enumerator equals driver reference, same MBA table") {
+    assertMatchesDriver(TestGraphs.running)
+  }
+
+  for (name <- Seq("email-lite", "wikitalk-lite", "stackoverflow-lite")) {
+    test(s"$name analog: parallel build enumerator equals driver reference, same MBA table") {
+      val ts = assertMatchesDriver(analog(name))
+      assert(ts.columns._1.length == ts.size, "column capacity beyond the triangle count")
+    }
+  }
+
+  test("parallel build enumerator: empty, star, path and K8") {
+    for (threads <- Seq(1, 3)) {
+      assert(assertMatchesDriver(new TemporalGraph(Array.empty), threads).size == 0)
+      val star = TemporalGraph((1 to 10).map(v => (0, v, Seq(v))): _*)
+      assert(assertMatchesDriver(star, threads).size == 0)
+      val path = TemporalGraph((0 until 10).map(v => (v, v + 1, Seq(v))): _*)
+      assert(assertMatchesDriver(path, threads).size == 0)
+      val k8 = TemporalGraph((for (u <- 0 until 8; v <- u + 1 until 8) yield (u, v, Seq(u * v, u + v))): _*)
+      val ts = assertMatchesDriver(k8, threads)
+      assert(ts.size == 56)
+      assert(ts.columns._1.length == ts.size)
+    }
+  }
+
+  test("parallel build enumerator: vertex ids with gaps spanning many chunks") {
+    val g = TemporalGraph(
+      (0, 1000, Seq(1)), (1000, 5000, Seq(2)), (0, 5000, Seq(3, 8)),
+      (5000, 70000, Seq(4)), (0, 70000, Seq(9)), (70000, 70001, Seq(5)))
+    val ts = assertMatchesDriver(g, threads = 3)
+    assert(ts.size == 2)
+  }
+
+  test("parallel build enumerator: tid order is the same for 1, 2, 3 and 5 threads") {
+    val g = analog("stackoverflow-lite")
+    val cols = Seq(1, 2, 3, 5).map { t =>
+      val ts = TriangleEnum.forwardTriangles(g, t)
+      assert(ts.columns._1.length == ts.size, s"$t threads: column capacity beyond the triangle count")
+      ts.columns
+    }
+    for ((c, t) <- cols.zip(Seq(1, 2, 3, 5)).tail) {
+      assert(c._1.sameElements(cols.head._1) && c._2.sameElements(cols.head._2) &&
+        c._3.sameElements(cols.head._3) && c._4.sameElements(cols.head._4), s"$t threads vs 1")
+    }
   }
 }
